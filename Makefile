@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race benchsmoke crashmatrix fuzz bench repro clean
+.PHONY: ci vet build test race perfbench-test benchsmoke crashmatrix fuzz bench repro clean
 
-ci: vet build test race benchsmoke crashmatrix fuzz
+ci: vet build test race perfbench-test benchsmoke crashmatrix fuzz
 
 vet:
 	$(GO) vet ./...
@@ -18,6 +18,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark harness is its own module (perfbench/go.mod), so
+# `go test ./...` at the root never reaches it. Its tests load DSx1
+# under both mappings and hold every paper query to its recorded
+# seed-42 answer and the cross-mapping agreements.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # One-iteration benchmark pass: proves the benchmarks still compile and
 # run without paying for stable measurements. The xadt and spill smokes

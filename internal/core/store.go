@@ -292,7 +292,7 @@ func (st *Store) createDefaultIndexesLocked() error {
 		for _, col := range rel.Columns {
 			switch col.Kind {
 			case mapping.KindXADT:
-				// Fragments get the secondary XADT index (structural paths
+				// Fragments get the secondary XADT index (element names
 				// + inverted keywords) instead of a B+tree on the bytes.
 				if t := st.DB.Catalog.Table(rel.Name); t != nil && t.FragIndexOn(col.Name) != nil {
 					continue

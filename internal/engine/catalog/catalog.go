@@ -88,7 +88,7 @@ type Table struct {
 	Schema  *Schema
 	Heap    *storage.HeapFile
 	Indexes []*Index
-	// FragIndexes are the secondary XADT indexes (path + keyword
+	// FragIndexes are the secondary XADT indexes (element-name + keyword
 	// postings) over this table's fragment columns; Insert keeps them
 	// current so they are never stale while they remain valid.
 	FragIndexes []*xindex.FragmentIndex

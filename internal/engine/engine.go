@@ -386,7 +386,9 @@ func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
 			}
 			level := 0
 			if len(args) == 5 && !args[4].IsNull() {
-				level = int(args[4].Int())
+				if level, err = intArg(args[4]); err != nil {
+					return types.Null, err
+				}
 			}
 			eval, release := rt.evaluator()
 			defer release()
@@ -444,9 +446,17 @@ func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
 			if args[3].IsNull() || args[4].IsNull() {
 				return types.Null, nil
 			}
+			startPos, err := intArg(args[3])
+			if err != nil {
+				return types.Null, err
+			}
+			endPos, err := intArg(args[4])
+			if err != nil {
+				return types.Null, err
+			}
 			eval, release := rt.evaluator()
 			defer release()
-			out, err := eval.GetElmIndex(in, parentElm, childElm, int(args[3].Int()), int(args[4].Int()))
+			out, err := eval.GetElmIndex(in, parentElm, childElm, startPos, endPos)
 			if err != nil {
 				return types.Null, err
 			}
@@ -540,14 +550,17 @@ func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
 		return types.NewInt(int64(len(args[0].Str()))), nil
 	}
 	substrImpl := func(args []types.Value) (types.Value, error) {
-		if args[0].IsNull() {
+		if args[0].IsNull() || args[1].IsNull() {
 			return types.Null, nil
 		}
 		if args[0].Kind() != types.KindString {
 			return types.Null, fmt.Errorf("engine: substr expects a string")
 		}
 		s := args[0].Str()
-		start := int(args[1].Int()) // 1-based
+		start, err := intArg(args[1]) // 1-based
+		if err != nil {
+			return types.Null, err
+		}
 		if start < 1 {
 			start = 1
 		}
@@ -556,7 +569,10 @@ func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
 		}
 		out := s[start-1:]
 		if len(args) == 3 && !args[2].IsNull() {
-			n := int(args[2].Int())
+			n, err := intArg(args[2])
+			if err != nil {
+				return types.Null, err
+			}
 			if n < 0 {
 				n = 0
 			}
@@ -592,6 +608,15 @@ func xadtArg(v types.Value) (xadt.Value, error) {
 	default:
 		return xadt.Value{}, fmt.Errorf("engine: expected XADT argument, got %v", v.Kind())
 	}
+}
+
+// intArg extracts a non-NULL integer argument; callers decide what a
+// NULL means before calling it.
+func intArg(v types.Value) (int, error) {
+	if v.Kind() != types.KindInt {
+		return 0, fmt.Errorf("engine: expected integer argument, got %v", v.Kind())
+	}
+	return int(v.Int()), nil
 }
 
 // stringArgs extracts up to three string arguments, treating NULL as "".

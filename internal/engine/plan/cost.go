@@ -178,9 +178,9 @@ func rowWidthScale(t *catalog.Table, rows float64) float64 {
 // consulted even when the index rewrite itself is disabled.
 func (p *Planner) selConjunct(b *baseItem, te *tableEst, conj sql.Expr) float64 {
 	if fk, ok := matchFindKey(b, conj); ok {
-		if fi := b.table.FragIndexOn(fk.column); fi != nil && fi.Valid() && fi.Rows() == b.table.Rows() {
-			if rids, ok := fi.LookupFindKey(fk.elm, fk.key); ok {
-				return clampSel(float64(len(rids)) / te.rows)
+		if pr := b.probe(fk); pr.covered {
+			if pr.ok {
+				return clampSel(float64(len(pr.rids)) / te.rows)
 			}
 			return clampSel(1 / te.rows) // indexed and provably absent
 		}
@@ -380,7 +380,7 @@ func (p *Planner) accessCost(b *baseItem, te *tableEst) float64 {
 	best := scan
 	for _, conj := range b.push {
 		if fk, ok := matchFindKey(b, conj); ok {
-			if fi := b.table.FragIndexOn(fk.column); fi != nil && fi.Valid() && fi.Rows() == b.table.Rows() {
+			if b.probe(fk).covered {
 				df := te.rows * p.selConjunct(b, te, conj)
 				cost := 2*cIndexProbeRow + df*(cRowTouch*te.width+predCost)
 				if cost < best {

@@ -137,6 +137,9 @@ type baseItem struct {
 	schema *expr.RowSchema
 	push   []sql.Expr // single-alias conjuncts pushed to this table
 	est    float64    // estimated output cardinality after pushdown
+	// probes memoizes fragment-index answers per indexable conjunct for
+	// this statement; see fragProbe.
+	probes map[findKeyConjunct]fragProbe
 }
 
 // funcItem is one TABLE(f(...)) FROM entry.

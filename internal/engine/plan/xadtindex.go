@@ -12,10 +12,40 @@ import (
 // answer: findKeyInElm(col, 'Elm', 'key') = 1 with literal arguments,
 // where col is an indexed XADT column of the base table.
 type findKeyConjunct struct {
-	conj   sql.Expr
 	column string
 	elm    string
 	key    string
+}
+
+// fragProbe is one fragment-index answer for a findKeyConjunct. covered
+// reports a valid index that has absorbed every heap row — the only
+// kind the planner may consult; ok and rids are LookupFindKey's result.
+type fragProbe struct {
+	covered bool
+	ok      bool
+	rids    []storage.RID
+}
+
+// probe answers fk through b's fragment index, probing the index at
+// most once per distinct conjunct and statement: selectivity
+// estimation, every join-order step's access costing and the
+// IndexedFragScan rewrite all share one candidate list. Like the
+// estimates it feeds, the probe is flag-blind — it reads only durable
+// index state, never Options.
+func (b *baseItem) probe(fk findKeyConjunct) fragProbe {
+	if pr, ok := b.probes[fk]; ok {
+		return pr
+	}
+	var pr fragProbe
+	if fi := b.table.FragIndexOn(fk.column); fi != nil && fi.Valid() && fi.Rows() == b.table.Rows() {
+		pr.covered = true
+		pr.rids, pr.ok = fi.LookupFindKey(fk.elm, fk.key)
+	}
+	if b.probes == nil {
+		b.probes = map[findKeyConjunct]fragProbe{}
+	}
+	b.probes[fk] = pr
+	return pr
 }
 
 // matchFindKey recognizes a findKeyInElm(col, 'E', 'k') = 1 conjunct
@@ -58,7 +88,7 @@ func matchFindKey(b *baseItem, conj sql.Expr) (findKeyConjunct, bool) {
 	if !ok {
 		return none, false
 	}
-	return findKeyConjunct{conj: conj, column: ref.Name, elm: elm.Val, key: key.Val}, true
+	return findKeyConjunct{column: ref.Name, elm: elm.Val, key: key.Val}, true
 }
 
 // xadtIndexAccess tries to answer b's pushed predicates through XADT
@@ -82,23 +112,20 @@ func (p *Planner) xadtIndexAccess(b *baseItem) (exec.Operator, error) {
 		if !ok {
 			continue
 		}
-		fi := b.table.FragIndexOn(fk.column)
-		if fi == nil || !fi.Valid() || fi.Rows() != b.table.Rows() {
-			// Missing, invalidated, or stale (has not absorbed every heap
-			// row) — the contract says fall back, never guess.
-			continue
-		}
-		cand, ok := fi.LookupFindKey(fk.elm, fk.key)
-		if !ok {
+		// A missing, invalidated or stale index (one that has not
+		// absorbed every heap row) is never consulted: fall back, never
+		// guess.
+		pr := b.probe(fk)
+		if !pr.covered || !pr.ok {
 			continue
 		}
 		if have {
-			rids = intersectRIDs(rids, cand)
+			rids = intersectRIDs(rids, pr.rids)
 		} else {
-			rids = cand
+			rids = pr.rids
 			have = true
 		}
-		matched = append(matched, fk.conj.String())
+		matched = append(matched, conj.String())
 	}
 	if !have {
 		return nil, nil

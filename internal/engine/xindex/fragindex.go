@@ -1,9 +1,10 @@
 package xindex
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
@@ -12,21 +13,26 @@ import (
 )
 
 // FragmentIndex is the combined secondary index over one stored XADT
-// column: a structural path index plus an inverted keyword index, built
-// row by row as tuples are inserted (or backfilled from the heap). It
-// tracks how many heap rows it has absorbed so the planner can detect a
-// stale index — an index that has not seen every row is never consulted,
-// and a row whose fragment fails to decode invalidates the whole index
-// rather than silently dropping postings. Lookups only ever produce
-// candidate supersets; IndexedFragScan re-verifies the real predicate.
+// column: a structural element-name index plus an inverted keyword
+// index, built row by row as tuples are inserted (or backfilled from
+// the heap). It tracks how many heap rows it has absorbed so the
+// planner can detect a stale index — an index that has not seen every
+// row is never consulted, and a row whose fragment fails to decode
+// invalidates the whole index rather than silently dropping postings.
+// Lookups only ever produce candidate supersets; IndexedFragScan
+// re-verifies the real predicate.
 type FragmentIndex struct {
 	mu     sync.RWMutex
 	table  string
 	column string
 	colIdx int
 
-	path *PathIndex
-	kw   *KeywordIndex
+	names *NameIndex
+	kw    *KeywordIndex
+
+	// lookups counts LookupFindKey calls, so tests can assert how many
+	// probes planning a statement costs.
+	lookups atomic.Int64
 
 	rows    int
 	invalid bool
@@ -47,7 +53,7 @@ type FragmentIndex struct {
 func NewFragmentIndex(table, column string, colIdx int) *FragmentIndex {
 	return &FragmentIndex{
 		table: table, column: column, colIdx: colIdx,
-		path: NewPathIndex(), kw: NewKeywordIndex(),
+		names: NewNameIndex(), kw: NewKeywordIndex(),
 	}
 }
 
@@ -88,7 +94,7 @@ func (fi *FragmentIndex) Invalidate() {
 func (fi *FragmentIndex) SizeBytes() int64 {
 	fi.mu.RLock()
 	defer fi.mu.RUnlock()
-	return fi.path.SizeBytes() + fi.kw.SizeBytes()
+	return fi.names.SizeBytes() + fi.kw.SizeBytes()
 }
 
 // AddRow absorbs one inserted heap row. Every row counts toward
@@ -156,6 +162,9 @@ func (fi *FragmentIndex) DeleteRow(rid storage.RID) {
 	fi.dead[key] = true
 }
 
+// Lookups reports how many LookupFindKey calls the index has served.
+func (fi *FragmentIndex) Lookups() int64 { return fi.lookups.Load() }
+
 // Backlog reports how many keys lookups must patch over (tombstones plus
 // overlay rows); the catalog rebuilds the index when this grows past its
 // threshold.
@@ -178,39 +187,37 @@ func (fi *FragmentIndex) addNodes(rid storage.RID, nodes []*xmltree.Node) bool {
 	if !fi.kw.Add(ridKey(rid), TokenSet(sb.String())) {
 		return false
 	}
-	// Structural postings: each distinct root-to-element path, once per
-	// row no matter how often the document repeats it.
+	// Structural postings: each distinct element name, once per row no
+	// matter how often or how deep the document repeats it.
 	seen := map[string]bool{}
-	var walk func(n *xmltree.Node, prefix string)
-	walk = func(n *xmltree.Node, prefix string) {
+	var names []string
+	var walk func(n *xmltree.Node)
+	walk = func(n *xmltree.Node) {
 		if !n.IsElement() {
 			return
 		}
-		p := n.Name
-		if prefix != "" {
-			p = prefix + "/" + n.Name
-		}
-		if !seen[p] {
-			seen[p] = true
-			fi.path.Add(rid, p)
+		if !seen[n.Name] {
+			seen[n.Name] = true
+			names = append(names, n.Name)
 		}
 		for _, c := range n.Children {
-			walk(c, p)
+			walk(c)
 		}
 	}
 	for _, n := range nodes {
-		walk(n, "")
+		walk(n)
 	}
-	return true
+	return fi.names.Add(ridKey(rid), names)
 }
 
 // LookupFindKey answers a findKeyInElm(col, elm, key) = 1 conjunct with
-// a candidate RID set: rows containing an element named elm (path index)
+// a candidate RID set: rows containing an element named elm (name index)
 // intersected with rows whose text can contain key (keyword index),
 // sorted in heap order. ok is false when the index cannot answer — it is
 // invalid, or both the element name is empty and the key has no
 // word-shaped tokens to look up.
 func (fi *FragmentIndex) LookupFindKey(elm, key string) (rids []storage.RID, ok bool) {
+	fi.lookups.Add(1)
 	fi.mu.RLock()
 	defer fi.mu.RUnlock()
 	if fi.invalid {
@@ -220,21 +227,19 @@ func (fi *FragmentIndex) LookupFindKey(elm, key string) (rids []storage.RID, ok 
 	if elm == "" && len(tokens) == 0 {
 		return nil, false
 	}
+	// Keyword candidates first: they are usually far fewer than the rows
+	// holding a common element name, whose postings are then only
+	// seeked through (or skipped when every row holds the name).
 	var acc []uint64
 	have := false
-	if elm != "" {
-		acc = fi.path.LookupName(elm)
-		have = true
-	}
 	if len(tokens) > 0 {
-		kw, kok := fi.kw.Candidates(tokens)
-		if kok {
-			if have {
-				acc = IntersectSorted(acc, kw)
-			} else {
-				acc = kw
-			}
-			have = true
+		acc, have = fi.kw.Candidates(tokens)
+	}
+	if elm != "" {
+		if have {
+			acc = fi.names.Filter(elm, acc)
+		} else {
+			acc, have = fi.names.LookupName(elm), true
 		}
 	}
 	if !have {
@@ -263,7 +268,7 @@ func (fi *FragmentIndex) LookupFindKey(elm, key string) (rids []storage.RID, ok 
 				acc = append(acc, k)
 			}
 		}
-		sort.Slice(acc, func(i, j int) bool { return acc[i] < acc[j] })
+		slices.Sort(acc)
 	}
 	out := make([]storage.RID, len(acc))
 	for i, k := range acc {

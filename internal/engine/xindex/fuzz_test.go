@@ -1,14 +1,16 @@
 package xindex
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
 // FuzzPostingCodec drives the delta/skip codec with arbitrary gap
 // sequences: append must round-trip exactly, SeekGE must agree with a
-// linear reference walk from any starting point, and intersecting the
-// two halves of the sequence must match a map-based reference.
+// linear reference walk from any starting point, intersecting or
+// filtering the two halves of the sequence must match a map-based
+// reference, and their union must restore the sequence.
 func FuzzPostingCodec(f *testing.F) {
 	f.Add([]byte{1, 2, 3})
 	f.Add([]byte{0})
@@ -90,6 +92,27 @@ func FuzzPostingCodec(f *testing.F) {
 			if gotI[i] != want[i] {
 				t.Fatalf("Intersect[%d] = %d, want %d", i, gotI[i], want[i])
 			}
+		}
+		// The skip-jumping filter must agree with the intersection, and
+		// with membership in a for keys between postings too.
+		if gotF := a.Filter(b.Values()); !slices.Equal(gotF, want) && len(gotF)+len(want) > 0 {
+			t.Fatalf("Filter = %v, want %v", gotF, want)
+		}
+		keys := append(append([]uint64(nil), targets...), vals...)
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		var wantF []uint64
+		for _, k := range keys {
+			if inA[k] {
+				wantF = append(wantF, k)
+			}
+		}
+		if gotF := a.Filter(keys); !slices.Equal(gotF, wantF) && len(gotF)+len(wantF) > 0 {
+			t.Fatalf("Filter(keys) = %v, want %v", gotF, wantF)
+		}
+		// a and b together hold every value.
+		if gotU := Union([]*PostingList{a, b, p}); !slices.Equal(gotU, vals) && len(gotU)+len(vals) > 0 {
+			t.Fatalf("Union = %v, want %v", gotU, vals)
 		}
 	})
 }

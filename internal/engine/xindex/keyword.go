@@ -1,6 +1,9 @@
 package xindex
 
-import "strings"
+import (
+	"bytes"
+	"sort"
+)
 
 // KeywordIndex is the inverted index over fragment text: each distinct
 // token of a row's concatenated character data gets the row's posting
@@ -11,6 +14,15 @@ import "strings"
 // a guaranteed superset of the rows whose text contains the key.
 type KeywordIndex struct {
 	terms map[string]*PostingList
+
+	// dict holds every term once, each followed by a NUL, in first-seen
+	// order; starts[i] is the offset of term i and lists[i] its postings.
+	// A token is letters and digits only, so it never matches across a
+	// NUL, and one substring search over dict finds every term that
+	// contains it.
+	dict   []byte
+	starts []int
+	lists  []*PostingList
 }
 
 // NewKeywordIndex returns an empty index.
@@ -18,12 +30,33 @@ func NewKeywordIndex() *KeywordIndex {
 	return &KeywordIndex{terms: map[string]*PostingList{}}
 }
 
+// termsContaining returns the posting lists of every dictionary term
+// that contains tok as a substring.
+func (k *KeywordIndex) termsContaining(tok string) []*PostingList {
+	var lists []*PostingList
+	needle := []byte(tok)
+	for off := 0; off < len(k.dict); {
+		i := bytes.Index(k.dict[off:], needle)
+		if i < 0 {
+			break
+		}
+		id := sort.SearchInts(k.starts, off+i+1) - 1 // last term starting at or before the match
+		lists = append(lists, k.lists[id])
+		if id+1 == len(k.starts) {
+			break
+		}
+		off = k.starts[id+1]
+	}
+	return lists
+}
+
 // Terms reports the dictionary size.
 func (k *KeywordIndex) Terms() int { return len(k.terms) }
 
-// SizeBytes reports the posting footprint plus dictionary strings.
+// SizeBytes reports the posting footprint plus dictionary strings and
+// the search directory.
 func (k *KeywordIndex) SizeBytes() int64 {
-	var n int64
+	n := int64(len(k.dict)) + 16*int64(len(k.lists))
 	for t, pl := range k.terms {
 		n += int64(len(t)) + pl.SizeBytes()
 	}
@@ -39,6 +72,9 @@ func (k *KeywordIndex) Add(rid uint64, tokens []string) bool {
 		if pl == nil {
 			pl = &PostingList{}
 			k.terms[t] = pl
+			k.starts = append(k.starts, len(k.dict))
+			k.lists = append(k.lists, pl)
+			k.dict = append(append(k.dict, t...), 0)
 		}
 		if !pl.Append(rid) {
 			return false
@@ -57,12 +93,7 @@ func (k *KeywordIndex) Candidates(tokens []string) (rids []uint64, ok bool) {
 	}
 	var acc []uint64
 	for i, tok := range tokens {
-		var lists []*PostingList
-		for term, pl := range k.terms {
-			if strings.Contains(term, tok) {
-				lists = append(lists, pl)
-			}
-		}
+		lists := k.termsContaining(tok)
 		if len(lists) == 0 {
 			return []uint64{}, true
 		}

@@ -3,6 +3,7 @@ package xindex
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/engine/storage"
@@ -87,13 +88,23 @@ func (p *PostingList) Iterator() *Iterator {
 	return &Iterator{p: p}
 }
 
+// delta decodes the uvarint at data[off:], returning it and its length
+// (<= 0 on a malformed encoding). Gaps under 128 — consecutive rows of
+// a page — take the one-byte path.
+func delta(data []byte, off int) (uint64, int) {
+	if b := data[off]; b < 0x80 {
+		return uint64(b), 1
+	}
+	return binary.Uvarint(data[off:])
+}
+
 // Next advances to the following posting, reporting false at the end.
 func (it *Iterator) Next() (uint64, bool) {
 	if it.idx >= it.p.n {
 		it.ok = false
 		return 0, false
 	}
-	d, m := binary.Uvarint(it.p.data[it.off:])
+	d, m := delta(it.p.data, it.off)
 	if m <= 0 {
 		it.ok = false
 		return 0, false
@@ -136,15 +147,59 @@ func (it *Iterator) SeekGE(v uint64) (uint64, bool) {
 
 // Values decodes the whole list.
 func (p *PostingList) Values() []uint64 {
-	out := make([]uint64, 0, p.n)
-	it := p.Iterator()
-	for {
-		v, ok := it.Next()
-		if !ok {
-			return out
+	return p.appendValues(make([]uint64, 0, p.n))
+}
+
+// appendValues appends the decoded list to dst.
+func (p *PostingList) appendValues(dst []uint64) []uint64 {
+	var prev uint64
+	off := 0
+	for i := 0; i < p.n; i++ {
+		d, m := delta(p.data, off)
+		if m <= 0 {
+			break
 		}
-		out = append(out, v)
+		off += m
+		prev += d
+		dst = append(dst, prev)
 	}
+	return dst
+}
+
+// Filter returns the values of keys (sorted, deduplicated) that are in
+// the list, in one forward pass: it decodes only up to the last key,
+// and jumps a whole skip block whenever the next key lies at or past
+// that block's first posting.
+func (p *PostingList) Filter(keys []uint64) []uint64 {
+	var out []uint64
+	var cur, prev uint64
+	off, idx, blk := 0, 0, 0
+	have := false
+	for _, k := range keys {
+		if k > p.last || p.n == 0 {
+			break
+		}
+		for blk+1 < len(p.skips) && p.skips[blk+1].First <= k {
+			blk++
+		}
+		if s := p.skips[blk]; s.N > idx {
+			off, prev, idx, have = s.Off, s.Prev, s.N, false
+		}
+		for (!have || cur < k) && idx < p.n {
+			d, m := delta(p.data, off)
+			if m <= 0 {
+				return out
+			}
+			off += m
+			prev += d
+			idx++
+			cur, have = prev, true
+		}
+		if have && cur == k {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // Intersect returns the values present in every list, using the
@@ -199,20 +254,10 @@ func Union(lists []*PostingList) []uint64 {
 	}
 	all := make([]uint64, 0, total)
 	for _, l := range lists {
-		all = append(all, l.Values()...)
+		all = l.appendValues(all)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return dedupSorted(all)
-}
-
-func dedupSorted(vals []uint64) []uint64 {
-	out := vals[:0]
-	for i, v := range vals {
-		if i == 0 || v != vals[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	slices.Sort(all)
+	return slices.Compact(all)
 }
 
 // IntersectSorted intersects two sorted deduplicated slices.

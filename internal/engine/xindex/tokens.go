@@ -1,11 +1,11 @@
 // Package xindex provides the secondary index structures over stored
-// XADT columns: a structural path index (element path → RID postings,
-// kept in the engine's B+tree) and an inverted keyword index over
-// fragment text (tokenizer + delta-encoded posting lists with skip-based
-// intersection). Both feed the planner's IndexedFragScan rewrite; both
-// are strictly candidate-generating — the scan re-verifies the original
-// predicate on every fetched row, so the index only has to guarantee a
-// superset of the matching rows, never the exact set.
+// XADT columns: a structural element-name index (element name → RID
+// postings) and an inverted keyword index over fragment text. Both keep
+// delta-encoded posting lists with skip tables, and both feed the
+// planner's IndexedFragScan rewrite; both are strictly
+// candidate-generating — the scan re-verifies the original predicate on
+// every fetched row, so the index only has to guarantee a superset of
+// the matching rows, never the exact set.
 package xindex
 
 import "unicode"

@@ -1,12 +1,15 @@
 package xindex
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
+	"repro/internal/testutil"
 	"repro/internal/xadt"
 	"repro/internal/xmltree"
 )
@@ -131,8 +134,8 @@ func TestIntersectAcrossBlocks(t *testing.T) {
 	a, b := &PostingList{}, &PostingList{}
 	var want []uint64
 	for i := uint64(0); i < uint64(3*SkipInterval); i++ {
-		a.Append(2 * i)           // evens
-		b.Append(3 * i)           // multiples of 3
+		a.Append(2 * i) // evens
+		b.Append(3 * i) // multiples of 3
 		if 3*i%2 == 0 && 3*i < 2*uint64(3*SkipInterval) {
 			want = append(want, 3*i) // multiples of 6 within a's range
 		}
@@ -188,9 +191,10 @@ func fragValue(t *testing.T, xml string) types.Value {
 	return types.NewXADT(xadt.EncodeStored(nodes, xadt.Raw).Bytes())
 }
 
-// TestDuplicatePathsOneDocument: a document repeating the same path many
-// times must contribute each path posting once per row, keeping the
-// structural postings strictly increasing and Append from failing.
+// TestDuplicatePathsOneDocument: a document repeating the same element
+// name many times must contribute each name posting once per row,
+// keeping the structural postings strictly increasing and Append from
+// failing.
 func TestDuplicatePathsOneDocument(t *testing.T) {
 	fi := NewFragmentIndex("speech", "speech_line", 0)
 	fi.AddRow(rid(0, 0), fragValue(t,
@@ -281,20 +285,175 @@ func TestNullAndInvalidRows(t *testing.T) {
 	}
 }
 
-func TestPathIndexLookupName(t *testing.T) {
-	p := NewPathIndex()
-	p.Add(rid(0, 1), "SPEECH/LINE")
-	p.Add(rid(0, 0), "SPEECH/LINE/STAGEDIR")
-	p.Add(rid(0, 1), "SPEECH/SPEAKER")
-	got := p.LookupName("LINE")
-	if !reflect.DeepEqual(got, []uint64{ridKey(rid(0, 0)), ridKey(rid(0, 1))}) {
-		t.Fatalf("LookupName(LINE) = %v", got)
+// randFragment builds a random fragment over a small name and word
+// pool, so element names repeat across rows, within a row, and at
+// several nesting depths.
+func randFragment(rng *rand.Rand) string {
+	names := []string{"LINE", "STAGEDIR", "SPEAKER", "A", "B"}
+	words := []string{"love", "Romeo", "rising", "the", "sun", "lovely", "o"}
+	var elem func(depth int) string
+	elem = func(depth int) string {
+		name := names[rng.Intn(len(names))]
+		var sb strings.Builder
+		sb.WriteString("<" + name + ">")
+		for i, n := 0, rng.Intn(3); i < n; i++ {
+			if depth < 3 && rng.Intn(3) == 0 {
+				sb.WriteString(elem(depth + 1))
+			} else {
+				sb.WriteString(words[rng.Intn(len(words))] + " ")
+			}
+		}
+		sb.WriteString("</" + name + ">")
+		return sb.String()
 	}
-	if got := p.LookupName("SPEAKER"); !reflect.DeepEqual(got, []uint64{ridKey(rid(0, 1))}) {
-		t.Fatalf("LookupName(SPEAKER) = %v", got)
+	var sb strings.Builder
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		sb.WriteString(elem(0))
 	}
-	if got := p.LookupName("NOPE"); len(got) != 0 {
-		t.Fatalf("LookupName(NOPE) = %v", got)
+	return sb.String()
+}
+
+// rowTerms is the keyword index's view of a fragment: the token set of
+// its concatenated character data.
+func rowTerms(t *testing.T, v types.Value) []string {
+	t.Helper()
+	nodes, err := xadt.FromBytes(v.XADT()).Nodes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, n := range nodes {
+		sb.WriteString(n.InnerText())
+	}
+	return TokenSet(sb.String())
+}
+
+// TestNamePostingsProperty drives one fragment index through a seeded
+// history of appends (NULLs included), deletes and inserts at reused
+// RIDs, and checks it against brute force every few steps:
+//   - NameIndex.LookupName(E) is exactly the set of rows appended to the
+//     postings (deleted or not — postings are append-only) whose decoded
+//     fragment contains an element named E;
+//   - LookupFindKey(E, k) is exactly the live posted rows containing E
+//     whose terms cover every token of k, plus every overlay row — so it
+//     holds no deleted row and, by the tokenizer's superset property,
+//     every live row where findKeyInElm(col, E, k) holds, which is
+//     checked directly too.
+func TestNamePostingsProperty(t *testing.T) {
+	seed := testutil.Seed(t, 13)
+	rng := rand.New(rand.NewSource(seed))
+	fi := NewFragmentIndex("speech", "speech_line", 0)
+	posted := map[uint64]types.Value{} // rows the postings absorbed
+	live := map[uint64]types.Value{}   // current heap contents
+	overlay := map[uint64]bool{}       // live rows at reused RIDs
+	var freed []uint64
+	next := uint64(0)
+	names := []string{"LINE", "STAGEDIR", "SPEAKER", "A", "B", "NOPE"}
+	keys := []string{"", "love", "Romeo", "o", "sun rising", "absent"}
+	value := func() types.Value {
+		if rng.Intn(6) == 0 {
+			return types.Null
+		}
+		return fragValue(t, randFragment(rng))
+	}
+	hasElm := func(v types.Value, name, key string) bool {
+		if v.IsNull() {
+			return false
+		}
+		ok, err := xadt.FindKeyInElm(xadt.FromBytes(v.XADT()), name, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	terms := map[uint64][]string{} // live non-NULL rows' keyword terms
+	covers := func(k uint64, key string) bool {
+		for _, kt := range TokenSet(key) {
+			if !slices.ContainsFunc(terms[k], func(term string) bool { return strings.Contains(term, kt) }) {
+				return false
+			}
+		}
+		return true
+	}
+	for step := 0; step < 400; step++ {
+		switch op := rng.Intn(10); {
+		case op < 6 || len(live) == 0:
+			v := value()
+			if rng.Intn(5) == 0 {
+				next = (next>>32 + 1) << 32 // a fresh page
+			}
+			key := next
+			next += 1 + uint64(rng.Intn(3))
+			fi.AddRow(keyRID(key), v)
+			posted[key], live[key] = v, v
+			if !v.IsNull() {
+				terms[key] = rowTerms(t, v)
+			}
+		case op < 8:
+			var victims []uint64
+			for k := range live {
+				victims = append(victims, k)
+			}
+			slices.Sort(victims)
+			k := victims[rng.Intn(len(victims))]
+			fi.DeleteRow(keyRID(k))
+			delete(live, k)
+			delete(overlay, k)
+			freed = append(freed, k)
+		default:
+			if len(freed) == 0 {
+				continue
+			}
+			i := rng.Intn(len(freed))
+			k := freed[i]
+			freed = append(freed[:i], freed[i+1:]...)
+			v := value()
+			fi.AddRow(keyRID(k), v) // reused RID: overlay
+			live[k], overlay[k] = v, true
+		}
+		if step%5 != 4 {
+			continue
+		}
+		if !fi.Valid() || fi.Rows() != len(live) {
+			t.Fatalf("step %d: Valid=%v Rows=%d, want true and %d (%s)", step, fi.Valid(), fi.Rows(), len(live), testutil.ReproLine(t, seed))
+		}
+		for _, name := range names {
+			var want []uint64
+			for k, v := range posted {
+				if hasElm(v, name, "") {
+					want = append(want, k)
+				}
+			}
+			slices.Sort(want)
+			if got := fi.names.LookupName(name); !slices.Equal(got, want) {
+				t.Fatalf("step %d: LookupName(%s) = %v, want %v (%s)", step, name, got, want, testutil.ReproLine(t, seed))
+			}
+			for _, key := range keys {
+				var wantCands []uint64
+				for k, v := range live {
+					if overlay[k] || (hasElm(v, name, "") && covers(k, key)) {
+						wantCands = append(wantCands, k)
+					}
+				}
+				slices.Sort(wantCands)
+				cands, ok := fi.LookupFindKey(name, key)
+				if !ok {
+					t.Fatalf("step %d: LookupFindKey(%s, %q) could not answer", step, name, key)
+				}
+				got := make([]uint64, len(cands))
+				for i, r := range cands {
+					got[i] = ridKey(r)
+				}
+				if !slices.Equal(got, wantCands) {
+					t.Fatalf("step %d: LookupFindKey(%s, %q) = %v, want %v (%s)", step, name, key, got, wantCands, testutil.ReproLine(t, seed))
+				}
+				for k, v := range live {
+					if hasElm(v, name, key) && !slices.Contains(got, k) {
+						t.Fatalf("step %d: findKeyInElm(%s, %q) holds on row %v, missing from candidates (%s)", step, name, key, keyRID(k), testutil.ReproLine(t, seed))
+					}
+				}
+			}
+		}
 	}
 }
 

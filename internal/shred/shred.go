@@ -73,8 +73,8 @@ func EnsureTables(db *engine.Database, schema *mapping.Schema) error {
 	return nil
 }
 
-// EnsureXADTIndexes creates the secondary fragment index (structural
-// paths + inverted keywords) on every mapped XADT column that lacks one.
+// EnsureXADTIndexes creates the secondary fragment index (element
+// names + inverted keywords) on every mapped XADT column that lacks one.
 // Creating them before the first load means Insert maintains them row by
 // row instead of a separate backfill pass.
 func EnsureXADTIndexes(db *engine.Database, schema *mapping.Schema) error {

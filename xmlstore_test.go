@@ -133,3 +133,37 @@ func TestRecoveryThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUDFIntegerArgumentsError: a non-integer where a UDF takes an
+// integer (getElm's level, getElmIndex's positions, substr's start and
+// length) is a typed query error, never a panic.
+func TestUDFIntegerArgumentsError(t *testing.T) {
+	st, err := NewStore(PlaysDTD, Config{Algorithm: XORator})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.LoadXML([]string{tinyDoc}); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`SELECT getElmIndex(speech_line, '', 'LINE', 'a', 'b') FROM speech`,
+		`SELECT getElmIndex(speech_line, '', 'LINE', 1, 'b') FROM speech`,
+		`SELECT getElm(speech_line, 'LINE', 'LINE', '', 'x') FROM speech`,
+		`SELECT substr('hello', 'x') FROM speech`,
+		`SELECT udf_substr('hello', 2, 'x') FROM speech`,
+	} {
+		res, err := st.Query(q)
+		if err == nil || !strings.Contains(err.Error(), "expected integer argument") {
+			t.Errorf("%s: got %v, %v; want an integer-argument error", q, res, err)
+		}
+	}
+	for _, q := range []string{
+		`SELECT getElmIndex(speech_line, '', 'LINE', 2, 2) FROM speech`,
+		`SELECT getElm(speech_line, 'LINE', 'LINE', '', 1) FROM speech`,
+		`SELECT udf_substr('hello', 2, 3) FROM speech`,
+	} {
+		if _, err := st.Query(q); err != nil {
+			t.Errorf("%s: %v", q, err)
+		}
+	}
+}
